@@ -122,7 +122,7 @@ sweep:
 # column keeps comparing against the same reference point, and it exits
 # non-zero if any section's statistics diverge from its reference loop
 # (or a speedup gate fails where it applies: >= 1.8x parallel on a
-# >= 4-CPU host, >= 5x gated at the 2%-load point).
+# >= 4-CPU host, >= 3x gated at the 2%-load point).
 bench-json:
 	go run ./cmd/harnessbench -o BENCH_harness.json
 	@cat BENCH_harness.json

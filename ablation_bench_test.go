@@ -1,8 +1,8 @@
 package vix
 
-// Ablation benchmarks for the design choices DESIGN.md calls out, plus
-// microbenchmarks of the allocators and the router pipeline (the hot
-// loops of the simulator).
+// Ablation benchmarks for the design choices DESIGN.md calls out, plus a
+// whole-network step benchmark (the simulator's hot loop). The allocator
+// microbenchmarks live in internal/alloc/bench_test.go.
 
 import (
 	"testing"
@@ -10,7 +10,6 @@ import (
 	"vix/internal/alloc"
 	"vix/internal/experiments"
 	"vix/internal/router"
-	"vix/internal/sim"
 	"vix/internal/topology"
 )
 
@@ -135,38 +134,6 @@ func BenchmarkAblationAllocators(b *testing.B) {
 }
 
 // --- microbenchmarks ---
-
-// benchAllocate measures one allocator's Allocate cost on a dense
-// radix-5 request set.
-func benchAllocate(b *testing.B, kind alloc.Kind, k int) {
-	cfg := alloc.Config{Ports: 5, VCs: 6, VirtualInputs: k}
-	a, err := alloc.New(kind, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := sim.NewRNG(1)
-	rs := &alloc.RequestSet{Config: cfg}
-	for port := 0; port < cfg.Ports; port++ {
-		for vc := 0; vc < cfg.VCs; vc++ {
-			rs.Requests = append(rs.Requests, alloc.Request{
-				Port: port, VC: vc, OutPort: rng.Intn(cfg.Ports),
-			})
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Allocate(rs)
-	}
-}
-
-func BenchmarkAllocateSeparableIF(b *testing.B)    { benchAllocate(b, alloc.KindSeparableIF, 1) }
-func BenchmarkAllocateVIX(b *testing.B)            { benchAllocate(b, alloc.KindSeparableIF, 2) }
-func BenchmarkAllocateWavefront(b *testing.B)      { benchAllocate(b, alloc.KindWavefront, 1) }
-func BenchmarkAllocateAugmentingPath(b *testing.B) { benchAllocate(b, alloc.KindAugmentingPath, 1) }
-func BenchmarkAllocatePacketChaining(b *testing.B) { benchAllocate(b, alloc.KindPacketChaining, 1) }
-func BenchmarkAllocateISLIP(b *testing.B)          { benchAllocate(b, alloc.KindISLIP, 1) }
-func BenchmarkAllocateSparoflo(b *testing.B)       { benchAllocate(b, alloc.KindSparoflo, 1) }
-func BenchmarkAllocateIdeal(b *testing.B)          { benchAllocate(b, alloc.KindIdeal, 6) }
 
 // BenchmarkNetworkStep measures whole-network simulation speed: one
 // cycle of a saturated 64-node VIX mesh (the simulator's hot loop).

@@ -103,12 +103,13 @@ type parallelReport struct {
 
 // lowLoadReport records the activity-gate section: the 16x16 workload at
 // fractions of its measured saturation throughput, stepped serially with
-// the gate on (the default) and off (DisableActivityGate), with the
+// the gate on (the default) and off (DisableActivityGate, every router
+// pinned active), with the
 // byte-identity verdict per point. The gate's win shrinks as load rises:
 // a flit occupies a router for roughly one tick per flit per hop, so at
 // load l the gated tick still executes ~4*hops*l of the dense tick's
 // router work and the dense/gated ratio is bounded by the reciprocal —
-// ~4x at 10% load, ~1.3x at 30% (DESIGN.md section 15). The >= 5x gate
+// ~4x at 10% load, ~1.3x at 30% (DESIGN.md section 15). The >= 3x gate
 // is therefore enforced at the deep-low-load point every sweep's tail
 // spends most of its wall clock in.
 type lowLoadReport struct {
@@ -322,7 +323,7 @@ const mesh16Saturation = 0.0558
 // benchLowLoad times the 16x16 mesh serially at fractions of its
 // measured saturation throughput, with the activity gate on and off,
 // and verifies the two produce identical statistics at every point.
-// The >= 5x floor is enforced at the deepest point; the 10% and 30%
+// The >= 3x floor is enforced at the deepest point; the 10% and 30%
 // points are recorded for the physics-bounded ratios the section's doc
 // comment derives. A custom -inject-rate point carries no floor, so
 // -require-gate refuses it: CI must bench the gated points.
@@ -335,7 +336,7 @@ func benchLowLoad(injectRate float64, warmup, measure int, requireGate bool) *lo
 		SaturationPkt: mesh16Saturation,
 	}
 	// The 2% floor was 5x against the pre-arena dense loop; the arena
-	// pass made idle routers nearly free in the dense path too (the
+	// pass made idle routers nearly free in the dense reference too (the
 	// vaPending early-exit skips VC allocation outright when nothing is
 	// pending), so the gated/dense ratio legitimately shrank while both
 	// absolute numbers improved. 3x still pins a real worklist benefit.

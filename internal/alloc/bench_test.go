@@ -10,15 +10,10 @@ import (
 // benchAllocate drives one allocator kind with a pre-generated rotation of
 // saturated request sets. Every Allocator keeps its working buffers as
 // construction-time scratch, so a warmed-up allocator must report
-// 0 allocs/op here; the allocation counter is the regression gate.
-func benchAllocate(b *testing.B, kind alloc.Kind) {
-	cfg := alloc.Config{Ports: 5, VCs: 6, VirtualInputs: 2}
-	switch kind {
-	case alloc.KindIdeal:
-		cfg.VirtualInputs = cfg.VCs
-	case alloc.KindSparoflo:
-		cfg.VirtualInputs = 1
-	}
+// 0 allocs/op here; the allocation counter is the regression gate. The
+// geometry is radix 5 with 6 VCs and k virtual inputs per port.
+func benchAllocate(b *testing.B, kind alloc.Kind, k int) {
+	cfg := alloc.Config{Ports: 5, VCs: 6, VirtualInputs: k}
 	a, err := alloc.New(kind, cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -38,14 +33,15 @@ func benchAllocate(b *testing.B, kind alloc.Kind) {
 	}
 }
 
-func BenchmarkAllocateIF(b *testing.B)        { benchAllocate(b, alloc.KindSeparableIF) }
-func BenchmarkAllocateWavefront(b *testing.B) { benchAllocate(b, alloc.KindWavefront) }
-func BenchmarkAllocateAP(b *testing.B)        { benchAllocate(b, alloc.KindAugmentingPath) }
-func BenchmarkAllocatePC(b *testing.B)        { benchAllocate(b, alloc.KindPacketChaining) }
-func BenchmarkAllocateIdeal(b *testing.B)     { benchAllocate(b, alloc.KindIdeal) }
-func BenchmarkAllocateISLIP(b *testing.B)     { benchAllocate(b, alloc.KindISLIP) }
-func BenchmarkAllocateSparoflo(b *testing.B)  { benchAllocate(b, alloc.KindSparoflo) }
-func BenchmarkAllocateIFAge(b *testing.B)     { benchAllocate(b, alloc.KindSeparableAge) }
+func BenchmarkAllocateIF(b *testing.B)        { benchAllocate(b, alloc.KindSeparableIF, 2) }
+func BenchmarkAllocateIFk1(b *testing.B)      { benchAllocate(b, alloc.KindSeparableIF, 1) }
+func BenchmarkAllocateWavefront(b *testing.B) { benchAllocate(b, alloc.KindWavefront, 2) }
+func BenchmarkAllocateAP(b *testing.B)        { benchAllocate(b, alloc.KindAugmentingPath, 2) }
+func BenchmarkAllocatePC(b *testing.B)        { benchAllocate(b, alloc.KindPacketChaining, 2) }
+func BenchmarkAllocateIdeal(b *testing.B)     { benchAllocate(b, alloc.KindIdeal, 6) }
+func BenchmarkAllocateISLIP(b *testing.B)     { benchAllocate(b, alloc.KindISLIP, 2) }
+func BenchmarkAllocateSparoflo(b *testing.B)  { benchAllocate(b, alloc.KindSparoflo, 1) }
+func BenchmarkAllocateIFAge(b *testing.B)     { benchAllocate(b, alloc.KindSeparableAge, 2) }
 
 // TestAllocateZeroAllocsSteadyState asserts the scratch contract at the
 // allocator layer: after one warming call, Allocate performs no heap

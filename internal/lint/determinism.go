@@ -24,7 +24,7 @@ var ConcurrencyAllowlist = map[string]bool{
 	// the harness and the network's parallel tick both run on; it is the
 	// one place goroutines are spawned on their behalf.
 	"internal/sim": true,
-	// internal/network's Step ticks routers on shards of a sim.Pool and
+	// internal/network's Step ticks routers on segments of a sim.Pool and
 	// merges the results in router-index order on the stepping
 	// goroutine, so output is byte-identical for any worker count; the
 	// network package itself contains no go statements.

@@ -78,7 +78,7 @@ func runActivity(t *testing.T, tc activityCase, workers int, disableGate bool, c
 // TestActivityGateLockstepWithDense is the tentpole guarantee of the
 // activity-gated tick: for every topology, allocator, load point, and
 // worker count, the gated network produces bit-identical statistics and
-// the exact same ejection sequence as the dense loop. Gating is a
+// the exact same ejection sequence as the dense reference. Gating is a
 // wall-clock knob, never a physics knob — exactly the standard the
 // parallel tick is held to.
 func TestActivityGateLockstepWithDense(t *testing.T) {
@@ -127,25 +127,39 @@ func TestActivityGateLockstepWithDense(t *testing.T) {
 
 // TestActivityGateSkipsIdleRouters checks the gate actually gates: at low
 // load on a 16x16 mesh, the number of router ticks executed must be far
-// below routers x cycles, or the worklist is pure overhead.
+// below routers x cycles, or the worklist is pure overhead. With the gate
+// disabled the pinned activity bits must tick every router every cycle,
+// on the serial walk and the parallel one alike — that is what makes the
+// disabled gate the dense reference.
 func TestActivityGateSkipsIdleRouters(t *testing.T) {
 	topo := topology.NewMesh(16, 16)
-	cfg := meshConfig(topo, alloc.KindSeparableIF, 2, router.PolicyBalanced)
-	cfg.InjectionRate = 0.005
-	cfg.Seed = 3
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
 	const cycles = 1000
-	n.Run(cycles)
 	dense := int64(topo.NumRouters) * cycles
-	got := n.RouterTicks()
+	run := func(workers int, disableGate bool) int64 {
+		t.Helper()
+		cfg := meshConfig(topo, alloc.KindSeparableIF, 2, router.PolicyBalanced)
+		cfg.InjectionRate = 0.005
+		cfg.Seed = 3
+		cfg.Workers = workers
+		cfg.DisableActivityGate = disableGate
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		n.Run(cycles)
+		return n.RouterTicks()
+	}
+	got := run(1, false)
 	if got == 0 {
 		t.Fatal("no router ticks recorded; counter broken")
 	}
 	if got > dense/2 {
 		t.Errorf("gated run executed %d router ticks of %d dense; the gate is not skipping idle routers", got, dense)
+	}
+	for _, workers := range []int{1, 4} {
+		if got := run(workers, true); got != dense {
+			t.Errorf("gate disabled, workers=%d: executed %d router ticks, want routers x cycles = %d", workers, got, dense)
+		}
 	}
 }

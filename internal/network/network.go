@@ -97,12 +97,6 @@ type Config struct {
 	// must not retain the pointer; copy any fields it needs.
 	OnEject func(f *router.Flit)
 
-	// DisableFlitPool turns off flit recycling so every flit is freshly
-	// allocated, as before the free-list pool existed. It is a test hook:
-	// the determinism regression test runs pooled and fresh simulations
-	// side by side and asserts identical output.
-	DisableFlitPool bool
-
 	// FlitArenaCapacity pre-sizes the flit arena's slab to at least this
 	// many slots (0 selects the minimum batch). Slot assignment is never
 	// observable, so pre-sizing only avoids mid-run slab growth; the
@@ -110,12 +104,12 @@ type Config struct {
 	// side by side and asserts identical output.
 	FlitArenaCapacity int
 
-	// DisableActivityGate turns off the activity-gated tick and runs the
-	// classic dense loops that visit every router and NI each cycle. The
-	// gated tick is byte-identical to the dense one by construction (see
-	// DESIGN.md section 15); this escape hatch keeps the dense path
-	// testable, and the gated-vs-dense lockstep tests run both side by
-	// side and assert identical snapshots and ejection sequences.
+	// DisableActivityGate pins every router active: its activity bit is
+	// set at construction and never cleared, and the NodeActivity hint is
+	// ignored, so every router ticks every cycle and SkipIdle never
+	// fires. That is the dense reference the gate must reproduce (see
+	// DESIGN.md section 15); the gated-vs-dense lockstep tests run both
+	// side by side and assert identical snapshots and ejection sequences.
 	DisableActivityGate bool
 
 	// HopDelay is the cycles from a switch-allocation win at one router
@@ -132,7 +126,7 @@ type Config struct {
 	DeadlockCycles int
 
 	// Workers is the number of workers the per-cycle router tick fans
-	// out across. 0 or 1 runs the classic serial loop; N > 1 ticks
+	// out across. 0 or 1 runs the serial walk; N > 1 ticks active
 	// routers on N workers (the stepping goroutine plus up to N-1 pooled
 	// goroutines); negative selects GOMAXPROCS. Statistics and ejection
 	// order are byte-identical for every value: within a cycle routers
@@ -305,13 +299,14 @@ type Network struct {
 
 	lastEjectCycle int64 // watchdog: last cycle any flit ejected
 
-	// Activity-gate state (nil when Config.DisableActivityGate): packed
-	// activity words for routers (buffered flits, or a delivery, credit,
-	// or injection this cycle) and for NIs with queued flits, plus the
-	// cycle each router last ticked so reactivation can fast-forward the
-	// skipped idle span (Router.SkipIdle). The invariant every activation
-	// source upholds: any state change that can make a router do work
-	// next cycle sets its bit before the router pass runs.
+	// Activity-gate state: packed activity words for routers (buffered
+	// flits, or a delivery, credit, or injection this cycle) and for NIs
+	// with queued flits, plus the cycle each router last ticked so
+	// reactivation can fast-forward the skipped idle span
+	// (Router.SkipIdle). The invariant every activation source upholds:
+	// any state change that can make a router do work next cycle sets its
+	// bit before the router pass runs. Under Config.DisableActivityGate
+	// every router bit stays set.
 	actR     sim.Bitset
 	actNI    sim.Bitset
 	lastTick []int64
@@ -322,15 +317,11 @@ type Network struct {
 	// routers x cycles to prove idle routers really were skipped.
 	routerTicks int64
 
-	// Parallel tick state (nil/empty when Workers <= 1): the shard pool,
-	// the block partition of routers, and the phase-A function value,
-	// built once so the per-cycle fan-out allocates nothing. With the
-	// activity gate on, act replaces shards: the pool fans out over the
-	// cycle's worklist of active routers instead of the full range.
-	pool    *sim.Pool
-	shards  []tickShard
-	shardFn func(int)
-	act     activeScratch
+	// Parallel tick state (nil/empty when Workers <= 1): the worker pool
+	// and the phase-A scratch over the cycle's worklist of active routers,
+	// built once so the per-cycle fan-out allocates nothing.
+	pool *sim.Pool
+	act  activeScratch
 }
 
 // New builds a network simulation from cfg.
@@ -355,7 +346,7 @@ func New(cfg Config) (*Network, error) {
 	n.credQ = make([][]creditDelivery, n.qlen)
 	n.ejectQ = make([][]router.FlitID, n.qlen)
 
-	n.flits = router.NewFlitArena(cfg.FlitArenaCapacity, cfg.DisableFlitPool)
+	n.flits = router.NewFlitArena(cfg.FlitArenaCapacity, false)
 	arena := router.NewArena(topo.NumRouters, cfg.Router, n.flits)
 	root := sim.NewRNG(cfg.Seed)
 	n.routers = make([]*router.Router, topo.NumRouters)
@@ -382,16 +373,17 @@ func New(cfg Config) (*Network, error) {
 	for node := 0; node < topo.NumNodes; node++ {
 		n.nis[node] = &ni{node: node, rng: root.Fork(uint64(node)), curVC: -1}
 	}
-	if !cfg.DisableActivityGate {
-		n.actR = sim.NewBitset(topo.NumRouters)
-		n.actNI = sim.NewBitset(topo.NumNodes)
-		n.lastTick = make([]int64, topo.NumRouters)
-		for i := range n.lastTick {
-			n.lastTick[i] = -1
+	n.actR = sim.NewBitset(topo.NumRouters)
+	n.actNI = sim.NewBitset(topo.NumNodes)
+	n.lastTick = make([]int64, topo.NumRouters)
+	for r := range n.lastTick {
+		n.lastTick[r] = -1
+		if cfg.DisableActivityGate {
+			n.actR.Set(r)
 		}
-		if na, ok := cfg.Workload.(NodeActivity); ok {
-			n.nodeAct = na
-		}
+	}
+	if na, ok := cfg.Workload.(NodeActivity); ok && !cfg.DisableActivityGate {
+		n.nodeAct = na
 	}
 	n.initParallel()
 	return n, nil
@@ -455,27 +447,23 @@ func (n *Network) QueuedAtSources() int64 {
 
 // Step advances the simulation one cycle.
 //
-// With the activity gate on (the default), the per-cycle loops over all
-// routers and NIs are replaced by walks over packed activity bitsets,
-// visiting the same indices the dense loops would — in the same
-// ascending order, which is what keeps RNG streams, statistics, and CSV
-// output byte-identical (DESIGN.md section 15). Every delivery, credit,
-// and injection marks its destination router's bit before the router
-// pass runs; a router whose Tick reports quiescence has its bit cleared
-// and is fast-forwarded with SkipIdle when it next reactivates.
+// Routers and NIs are visited by walks over packed activity bitsets, in
+// the ascending index order a dense loop would use, which is what keeps
+// RNG streams, statistics, and CSV output byte-identical (DESIGN.md
+// section 15). Every delivery, credit, and injection marks its
+// destination router's bit before the router pass runs; a router whose
+// Tick reports quiescence has its bit cleared and is fast-forwarded with
+// SkipIdle when it next reactivates.
 //
 //vixlint:hot
 func (n *Network) Step() {
 	slot := int(n.cycle % int64(n.qlen))
-	gate := n.actR != nil
 
 	// Deliver link events scheduled for this cycle.
 	for _, d := range n.flitQ[slot] {
 		n.routers[d.router].DeliverFlit(d.port, d.vc, d.flit)
 		n.col.BufferWrite()
-		if gate {
-			n.actR.Set(d.router)
-		}
+		n.actR.Set(d.router)
 	}
 	n.flitQ[slot] = n.flitQ[slot][:0]
 	for _, d := range n.credQ[slot] {
@@ -484,7 +472,7 @@ func (n *Network) Step() {
 		// A credit is applied eagerly above; it only creates work — and
 		// so only needs to wake the router — if flits are buffered. An
 		// empty router's tick is the empty tick SkipIdle replays.
-		if gate && rt.Busy() {
+		if rt.Busy() {
 			n.actR.Set(d.router)
 		}
 	}
@@ -499,55 +487,24 @@ func (n *Network) Step() {
 		t.Tick(n.cycle)
 	}
 
-	// Traffic generation and injection. The dense path interleaves
-	// generate and inject per node; the gated path generates first (for
-	// all nodes, or only workload-active ones under the NodeActivity
-	// hint) and then injects only from NIs with queued flits. The split
-	// is behaviour-preserving: generation touches only per-NI state, the
-	// shared packet-ID counter, and the flit pool — all in the same
-	// ascending node order either way — and injection at one node never
-	// observes another node's injection (distinct local ports).
-	switch {
-	case !gate:
-		for _, nif := range n.nis {
-			n.generate(nif)
-			n.inject(nif)
-		}
-	case n.nodeAct == nil:
-		for _, nif := range n.nis {
+	// Traffic generation for every node (or only workload-active ones
+	// under the NodeActivity hint), then injection from NIs with queued
+	// flits. Generating all nodes before injecting any is equivalent to
+	// interleaving the two per node: generation touches only per-NI
+	// state and the shared packet-ID counter, in ascending node order
+	// either way, and injection at one node never observes another
+	// node's injection (distinct local ports).
+	for _, nif := range n.nis {
+		if n.nodeAct == nil || n.nodeAct.NodeActive(nif.node, n.cycle) {
 			n.generate(nif)
 		}
-		n.injectActive()
-	default:
-		for _, nif := range n.nis {
-			if n.nodeAct.NodeActive(nif.node, n.cycle) {
-				n.generate(nif)
-			}
-		}
-		n.injectActive()
 	}
+	n.injectActive()
 
-	// Router pipelines: dense serial loop, dense sharded tick, or the
-	// gated serial/worklist variants — byte-identical by construction.
-	switch {
-	case gate && n.pool != nil:
+	if n.pool != nil {
 		n.tickActiveParallel()
-	case gate:
+	} else {
 		n.tickActiveSerial()
-	case n.pool != nil:
-		n.tickRoutersParallel()
-		n.routerTicks += int64(len(n.routers))
-	default:
-		for r, rt := range n.routers {
-			ems, credits, _ := rt.Tick()
-			for _, e := range ems {
-				n.forward(r, e)
-			}
-			for _, cm := range credits {
-				n.scheduleCredit(r, cm)
-			}
-		}
-		n.routerTicks += int64(len(n.routers))
 	}
 
 	n.col.Tick()
@@ -561,8 +518,7 @@ func (n *Network) Step() {
 }
 
 // injectActive drains one flit from every NI with queued flits, walking
-// the NI activity words in ascending node order — the same order the
-// dense loop calls inject.
+// the NI activity words in ascending node order.
 func (n *Network) injectActive() {
 	for wi, w := range n.actNI {
 		for ; w != 0; w &= w - 1 {
@@ -573,9 +529,9 @@ func (n *Network) injectActive() {
 
 // tickActiveSerial ticks this cycle's active routers in ascending index
 // order, fast-forwarding each across the idle span since it last ticked
-// and clearing the bits of routers that quiesced. Activations during the
-// walk only target future cycles (the delayed wheels), so iterating
-// copied words is exact.
+// and clearing the bits of routers that quiesced (unless the gate is
+// disabled). Activations during the walk only target future cycles (the
+// delayed wheels), so iterating copied words is exact.
 func (n *Network) tickActiveSerial() {
 	for wi, w := range n.actR {
 		for ; w != 0; w &= w - 1 {
@@ -593,7 +549,7 @@ func (n *Network) tickActiveSerial() {
 			for _, cm := range credits {
 				n.scheduleCredit(r, cm)
 			}
-			if quiesced {
+			if quiesced && !n.cfg.DisableActivityGate {
 				n.actR.Clear(r)
 			}
 		}
@@ -702,18 +658,13 @@ func (n *Network) enqueuePacket(nif *ni, spec PacketSpec) {
 		size:        size,
 		createCycle: n.cycle,
 	})
-	if n.actNI != nil {
-		n.actNI.Set(nif.node)
-	}
+	n.actNI.Set(nif.node)
 }
 
-// inject moves at most one flit from nif's source queue into the local
-// input port of its router, choosing an injection VC for head flits with
-// the same sub-group policy the routers use.
+// inject moves at most one flit from nif's non-empty source queue into
+// the local input port of its router, choosing an injection VC for head
+// flits with the same sub-group policy the routers use.
 func (n *Network) inject(nif *ni) {
-	if nif.pending() == 0 {
-		return
-	}
 	p := nif.front()
 	r := n.topo.NodeRouter[nif.node]
 	port := n.topo.NodePort[nif.node]
@@ -752,11 +703,9 @@ func (n *Network) inject(nif *ni) {
 	n.col.BufferWrite()
 	n.inFlight++
 	nif.popFlit(p.size)
-	if n.actR != nil {
-		n.actR.Set(r)
-		if nif.pending() == 0 {
-			n.actNI.Clear(nif.node)
-		}
+	n.actR.Set(r)
+	if nif.pending() == 0 {
+		n.actNI.Clear(nif.node)
 	}
 	if ft.IsHead() {
 		f.InjectCycle = n.cycle
@@ -815,7 +764,7 @@ func (n *Network) Measure(cycles int) stats.Snapshot {
 	return n.col.Snapshot()
 }
 
-// RouterTicks returns the number of Router.Tick calls executed so far.
-// With the activity gate on this is the work actually done; the dense
-// loop always reports routers x cycles.
+// RouterTicks returns the number of Router.Tick calls executed so far:
+// the work the activity gate actually did. With the gate disabled it is
+// always routers x cycles.
 func (n *Network) RouterTicks() int64 { return n.routerTicks }

@@ -14,56 +14,44 @@ import (
 // This file implements the two-phase parallel router tick selected by
 // Config.Workers > 1. The determinism argument:
 //
-//   - Phase A (parallel): routers are block-partitioned by index into
-//     shards, and each shard ticks its routers on one pool worker. Within
-//     a cycle, a router tick reads and writes only router-local state —
-//     input buffers, credit counters, arbiter pointers — because all
-//     cross-router traffic travels through the delayed flitQ/credQ/ejectQ
-//     wheels, which are only written in phase B and only read at the top
-//     of the next Step. Phase A therefore computes, for every router, the
-//     identical emissions and credits the serial loop would have, no
-//     matter how shards are scheduled. Each shard also pre-computes the
-//     lookahead routes of its link emissions (a pure topology function)
-//     and accumulates the datapath activity counters into a private
-//     stats.Delta.
+//   - Phase A (parallel): the cycle's worklist of active routers is split
+//     into contiguous segments, and each segment ticks its routers on one
+//     pool worker. Within a cycle, a router tick reads and writes only
+//     router-local state — input buffers, credit counters, arbiter
+//     pointers — because all cross-router traffic travels through the
+//     delayed flitQ/credQ/ejectQ wheels, which are only written in phase
+//     B and only read at the top of the next Step. Phase A therefore
+//     computes, for every router, the identical emissions and credits the
+//     serial walk would have, no matter how segments are scheduled. Each
+//     segment also pre-computes the lookahead routes of its link
+//     emissions (a pure topology function) and accumulates the datapath
+//     activity counters into a private stats.Delta.
 //
-//   - Phase B (stepping goroutine): shards are merged in router-index
-//     order — every queue append, credit schedule, and counter merge
-//     happens in exactly the order the serial loop performs them. Integer
-//     counter merges are order-independent anyway; the queue appends are
-//     what byte-identity actually rests on, and index-ordered merging
-//     makes them literally identical.
+//   - Phase B (stepping goroutine): segments are merged in worklist —
+//     hence router-index — order: every queue append, credit schedule,
+//     and counter merge happens in exactly the order the serial walk
+//     performs them. Integer counter merges are order-independent anyway;
+//     the queue appends are what byte-identity actually rests on, and
+//     index-ordered merging makes them literally identical.
 //
 // Traffic generation, injection, ejection, and the workload callbacks
 // never leave the stepping goroutine: they own the RNG streams and the
 // order-sensitive float latency accumulation.
 //
-// The shard scratch holds only slice headers: Router.Tick's returned
+// The per-index slots hold only slice headers: Router.Tick's returned
 // emissions and credits are router-owned scratch valid until that
 // router's next Tick, which cannot happen before phase B of this cycle
 // completes, so no copying is needed and the steady state allocates
 // nothing.
 
-// tickShard is one contiguous block of routers plus the phase-A results
-// its worker produced this cycle.
-type tickShard struct {
-	lo, hi int // router index range [lo, hi)
-
-	ems   [][]router.Emission  // per router: Tick's emission scratch
-	creds [][]router.CreditMsg // per router: Tick's credit scratch
-	delta stats.Delta          // activity counters accumulated in phase A
-}
-
-// activeScratch is the phase-A state of the gated parallel tick: the
-// cycle's worklist of active router indices, its contiguous split into
+// activeScratch is the phase-A state of the parallel tick: the cycle's
+// worklist of active router indices, its contiguous split into
 // per-worker segments, and per-index result slots. Pool.Do hands each
 // segment to exactly one worker; segments partition the worklist and
 // worklist entries name distinct routers, so job si owns its slice of
-// index slots and routers exclusively — the same confinement argument as
-// tickShard, with the per-cycle worklist split replacing the static
-// block partition. Everything is sized once in initParallel; the
-// per-cycle rebuilds of work and seg reuse their backing arrays, so the
-// steady state allocates nothing.
+// index slots and routers exclusively. Everything is sized once in
+// initParallel; the per-cycle rebuilds of work and seg reuse their
+// backing arrays, so the steady state allocates nothing.
 type activeScratch struct {
 	work     []int32              // active router indices, ascending
 	seg      []int32              // segment si covers work[seg[si]:seg[si+1]]
@@ -75,7 +63,7 @@ type activeScratch struct {
 }
 
 // resolveWorkers maps Config.Workers onto an effective worker count:
-// 0 is the serial loop, negative is GOMAXPROCS, positive is taken as
+// 0 is the serial walk, negative is GOMAXPROCS, positive is taken as
 // given. Any result above 1 makes the network park pool goroutines
 // between cycles — owners must call Close when done (vixlint's
 // hygiene/close rule enforces this for cmd/ binaries).
@@ -90,9 +78,9 @@ func resolveWorkers(w int) int {
 	}
 }
 
-// initParallel builds the shard partition and worker pool when the
+// initParallel builds the worker pool and worklist scratch when the
 // configuration asks for a parallel tick. With one effective worker (or a
-// one-router network) the network stays on the serial loop.
+// one-router network) the network stays on the serial walk.
 func (n *Network) initParallel() {
 	workers := resolveWorkers(n.cfg.Workers)
 	if workers > len(n.routers) {
@@ -103,68 +91,25 @@ func (n *Network) initParallel() {
 	}
 	n.pool = sim.NewPool(workers)
 	nr := len(n.routers)
-	if n.actR != nil {
-		// Gated: the pool fans out over contiguous segments of the
-		// per-cycle worklist of active routers, instead of static shards.
-		n.act = activeScratch{
-			work:     make([]int32, 0, nr),
-			seg:      make([]int32, 0, workers+1),
-			ems:      make([][]router.Emission, nr),
-			creds:    make([][]router.CreditMsg, nr),
-			delta:    make([]stats.Delta, workers),
-			quiesced: make([]bool, nr),
-		}
-		// Built once: handing a fresh method value to Pool.Do every cycle
-		// would allocate.
-		n.act.fn = n.runActive
-		return
+	n.act = activeScratch{
+		work:     make([]int32, 0, nr),
+		seg:      make([]int32, 0, workers+1),
+		ems:      make([][]router.Emission, nr),
+		creds:    make([][]router.CreditMsg, nr),
+		delta:    make([]stats.Delta, workers),
+		quiesced: make([]bool, nr),
 	}
-	n.shards = make([]tickShard, workers)
-	for i := range n.shards {
-		lo, hi := nr*i/workers, nr*(i+1)/workers
-		n.shards[i] = tickShard{
-			lo: lo, hi: hi,
-			ems:   make([][]router.Emission, hi-lo),
-			creds: make([][]router.CreditMsg, hi-lo),
-		}
-	}
-	// Built once, as above.
-	n.shardFn = n.runShard
+	// Built once: handing a fresh method value to Pool.Do every cycle
+	// would allocate.
+	n.act.fn = n.runActive
 }
 
-// runShard is phase A for one shard: tick the shard's routers, keep the
-// per-router emission and credit slice headers, pre-compute lookahead
-// routes for link emissions, and accumulate the activity counters the
-// serial loop's forward() would have recorded.
-//
-//vixlint:hot
-func (n *Network) runShard(si int) {
-	s := &n.shards[si]
-	var d stats.Delta
-	for r := s.lo; r < s.hi; r++ {
-		ems, creds, _ := n.routers[r].Tick()
-		j := r - s.lo
-		s.ems[j], s.creds[j] = ems, creds
-		for _, e := range ems {
-			d.BufferReads++
-			d.XbarTraversals++
-			conn := &n.topo.Conn[r][e.OutPort]
-			if conn.Kind == topology.Link {
-				d.LinkTraversals++
-				f := n.flits.At(e.Flit)
-				f.Route = n.route(n.topo, conn.PeerRouter, f.Dst)
-			}
-		}
-	}
-	s.delta = d
-}
-
-// runActive is phase A of the gated parallel tick for one worklist
+// runActive is phase A of the parallel tick for one worklist
 // segment: fast-forward each of the segment's routers across its idle
 // span, tick it, keep the emission and credit slice headers and the
 // quiescence verdict in the worklist index's own slots, pre-compute
 // lookahead routes for link emissions, and accumulate the activity
-// counters the serial loop's forward() would have recorded.
+// counters the serial walk's forward() would have recorded.
 //
 //vixlint:hot
 func (n *Network) runActive(si int) {
@@ -196,7 +141,7 @@ func (n *Network) runActive(si int) {
 // (ascending router order), splits it into one contiguous segment per
 // worker, runs phase A across the pool, and merges in worklist — hence
 // router-index — order on the stepping goroutine, clearing the bits of
-// routers that quiesced.
+// routers that quiesced (unless the gate is disabled).
 func (n *Network) tickActiveParallel() {
 	work := n.act.work[:0]
 	for wi, w := range n.actR {
@@ -229,34 +174,15 @@ func (n *Network) tickActiveParallel() {
 			for _, cm := range n.act.creds[i] {
 				n.scheduleCredit(r, cm)
 			}
-			if n.act.quiesced[i] {
+			if n.act.quiesced[i] && !n.cfg.DisableActivityGate {
 				n.actR.Clear(r)
 			}
 		}
 	}
 }
 
-// tickRoutersParallel runs phase A across the pool, then merges every
-// shard in router-index order on the stepping goroutine.
-func (n *Network) tickRoutersParallel() {
-	n.pool.Do(len(n.shards), n.shardFn)
-	for si := range n.shards {
-		s := &n.shards[si]
-		n.col.Merge(s.delta)
-		for j := range s.ems {
-			r := s.lo + j
-			for _, e := range s.ems[j] {
-				n.deliverEmission(r, e)
-			}
-			for _, cm := range s.creds[j] {
-				n.scheduleCredit(r, cm)
-			}
-		}
-	}
-}
-
 // deliverEmission is the phase-B half of forward: the emission's route
-// and activity counters were already handled in the shard tick, so only
+// and activity counters were already handled in phase A, so only
 // the order-sensitive queue append remains.
 func (n *Network) deliverEmission(r int, e router.Emission) {
 	conn := n.topo.Conn[r][e.OutPort]
@@ -274,7 +200,7 @@ func (n *Network) deliverEmission(r int, e router.Emission) {
 }
 
 // Workers returns the effective parallel-tick worker count (1 for the
-// serial loop).
+// serial walk).
 func (n *Network) Workers() int {
 	if n.pool == nil {
 		return 1

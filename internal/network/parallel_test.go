@@ -93,7 +93,7 @@ func TestParallelTickByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestParallelTickMoreWorkersThanRouters checks the shard partition
+// TestParallelTickMoreWorkersThanRouters checks the worklist split
 // degrades gracefully when the requested width exceeds the router count.
 func TestParallelTickMoreWorkersThanRouters(t *testing.T) {
 	topo := topology.NewMesh(2, 2)

@@ -43,9 +43,9 @@ func perfMesh(tb testing.TB, workers int, disableGate bool, rate float64) *Netwo
 // TestSteadyStateZeroAllocs pins the headline guarantee of the memory
 // discipline work: once the scratch buffers and the flit pool have grown
 // to their high-water marks, Network.Step performs zero heap allocations
-// per cycle — on the serial loop and on the sharded parallel tick, with
-// the activity gate on and off (the worklist rebuild reuses its backing
-// array, shards and worklist slots store Tick's slice headers, and the
+// per cycle — on the serial walk and on the parallel tick, with the
+// activity gate on and off (the worklist rebuild reuses its backing
+// array, worklist slots store Tick's slice headers, and the
 // pool reuses parked workers, so no phase allocates). The run is fully
 // deterministic (fixed seed), so this either always passes or always
 // fails for a given code state.
@@ -144,10 +144,10 @@ func BenchmarkNetworkStepLowLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkNetworkStepParallel measures the worklist (gate_on) and
-// sharded (gate_off) parallel ticks at a spread of worker counts on the
-// saturated workload; compare against BenchmarkNetworkStep for parallel
-// efficiency. Allocation counters must stay at 0 here too.
+// BenchmarkNetworkStepParallel measures the parallel tick with the gate
+// on and off (every router pinned active) at a spread of worker counts
+// on the saturated workload; compare against BenchmarkNetworkStep for
+// parallel efficiency. Allocation counters must stay at 0 here too.
 func BenchmarkNetworkStepParallel(b *testing.B) {
 	for _, workers := range []int{2, 4, 8} {
 		for _, disableGate := range []bool{false, true} {

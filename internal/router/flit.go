@@ -113,8 +113,7 @@ type FlitArena struct {
 	slab []Flit
 	free []FlitID
 	// noReuse turns Free into a no-op so every Alloc returns a
-	// never-used slot (Config.DisableFlitPool): the arena equivalent of
-	// allocating each flit fresh, for determinism regression tests.
+	// never-used slot: the arena equivalent of allocating each flit fresh.
 	noReuse bool
 }
 
@@ -172,26 +171,3 @@ func (a *FlitArena) Cap() int { return len(a.slab) }
 
 // Live returns the number of allocated (not free) slots.
 func (a *FlitArena) Live() int { return len(a.slab) - len(a.free) }
-
-// NewPacket builds the flit sequence for one packet of size flits.
-func NewPacket(id uint64, src, dst, size int, createCycle int64) []*Flit {
-	if size <= 0 {
-		panic("router: packet size must be positive")
-	}
-	flits := make([]*Flit, size)
-	for i := range flits {
-		ft := PacketFlitType(i, size)
-		flits[i] = &Flit{
-			PacketID:    id,
-			Type:        ft,
-			Src:         src,
-			Dst:         dst,
-			Seq:         i,
-			PacketSize:  size,
-			CreateCycle: createCycle,
-			Route:       -1,
-			VC:          -1,
-		}
-	}
-	return flits
-}

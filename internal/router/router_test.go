@@ -34,22 +34,32 @@ func baseConfig() Config {
 	}
 }
 
-// deliver copies a packet's flits into the router's arena and pushes the
-// ids into (port, vc) with the given route.
-func deliver(r *Router, port, vc, route int, flits []*Flit) {
-	for _, f := range flits {
-		id := r.flits.Alloc()
-		g := r.flits.At(id)
-		*g = *f
-		g.Route = route
-		r.DeliverFlit(port, vc, id)
+// deliver allocates flits of packet id (size flits long) straight from
+// the router's arena, as the network's injection does, and pushes them
+// into (port, vc) with the given route. seqs picks which flits to
+// deliver, in that order; none delivers the whole packet.
+func deliver(r *Router, port, vc, route int, id uint64, size int, seqs ...int) {
+	if len(seqs) == 0 {
+		for i := 0; i < size; i++ {
+			seqs = append(seqs, i)
+		}
+	}
+	for _, seq := range seqs {
+		fid := r.flits.Alloc()
+		f := r.flits.At(fid)
+		f.PacketID = id
+		f.Type = PacketFlitType(seq, size)
+		f.Seq = seq
+		f.PacketSize = size
+		f.Route = route
+		f.VC = -1
+		r.DeliverFlit(port, vc, fid)
 	}
 }
 
 func TestSingleFlitTraversal(t *testing.T) {
 	r := testRouter(t, baseConfig())
-	pkt := NewPacket(1, 0, 9, 1, 0)
-	deliver(r, 1, 0, 2, pkt)
+	deliver(r, 1, 0, 2, 1, 1)
 
 	ems, credits, _ := r.Tick()
 	if len(ems) != 1 {
@@ -76,8 +86,7 @@ func TestSingleFlitTraversal(t *testing.T) {
 
 func TestEjectionConsumesNoCreditsAndEmitsUpstreamCredit(t *testing.T) {
 	r := testRouter(t, baseConfig())
-	pkt := NewPacket(1, 0, 9, 1, 0)
-	deliver(r, 3, 2, 0, pkt) // route to local port 0
+	deliver(r, 3, 2, 0, 1, 1) // route to local port 0
 
 	ems, credits, _ := r.Tick()
 	if len(ems) != 1 || ems[0].OutPort != 0 {
@@ -98,8 +107,7 @@ func TestEjectionConsumesNoCreditsAndEmitsUpstreamCredit(t *testing.T) {
 
 func TestLocalInputPortEmitsNoCreditMessage(t *testing.T) {
 	r := testRouter(t, baseConfig())
-	pkt := NewPacket(1, 0, 9, 1, 0)
-	deliver(r, 0, 0, 2, pkt) // injected at local port
+	deliver(r, 0, 0, 2, 1, 1) // injected at local port
 
 	_, credits, _ := r.Tick()
 	if len(credits) != 0 {
@@ -109,8 +117,7 @@ func TestLocalInputPortEmitsNoCreditMessage(t *testing.T) {
 
 func TestMultiFlitWormhole(t *testing.T) {
 	r := testRouter(t, baseConfig())
-	pkt := NewPacket(1, 0, 9, 4, 0)
-	deliver(r, 1, 0, 2, pkt)
+	deliver(r, 1, 0, 2, 1, 4)
 
 	var sent []*Flit
 	for cycle := 0; cycle < 4; cycle++ {
@@ -137,8 +144,8 @@ func TestMultiFlitWormhole(t *testing.T) {
 // the same output port must use a different downstream VC.
 func TestOutputVCHeldUntilTail(t *testing.T) {
 	r := testRouter(t, baseConfig())
-	deliver(r, 1, 0, 2, NewPacket(1, 0, 9, 3, 0))
-	deliver(r, 3, 0, 2, NewPacket(2, 1, 9, 3, 0))
+	deliver(r, 1, 0, 2, 1, 3)
+	deliver(r, 3, 0, 2, 2, 3)
 
 	vcs := map[uint64]int{}
 	for cycle := 0; cycle < 8; cycle++ {
@@ -168,14 +175,13 @@ func TestCreditBlocking(t *testing.T) {
 	cfg.VirtualInputs = 1
 	r := testRouter(t, cfg)
 
-	pkt := NewPacket(1, 0, 9, 2, 0)
-	deliver(r, 1, 0, 2, pkt[:1])
+	deliver(r, 1, 0, 2, 1, 2, 0)
 
 	ems, _, _ := r.Tick()
 	if len(ems) != 1 {
 		t.Fatalf("first flit blocked unexpectedly")
 	}
-	deliver(r, 1, 0, 2, pkt[1:])
+	deliver(r, 1, 0, 2, 1, 2, 1)
 	// The single downstream credit is now consumed.
 	if r.Credits(2, 0) != 0 {
 		t.Fatalf("credit accounting wrong: %d", r.Credits(2, 0))
@@ -193,13 +199,12 @@ func TestBufferOverflowPanics(t *testing.T) {
 	cfg := baseConfig()
 	cfg.BufDepth = 2
 	r := testRouter(t, cfg)
-	pkt := NewPacket(1, 0, 9, 3, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("buffer overflow did not panic")
 		}
 	}()
-	deliver(r, 1, 0, 2, pkt) // 3 flits into depth-2 buffer
+	deliver(r, 1, 0, 2, 1, 3) // 3 flits into depth-2 buffer
 }
 
 func TestInvalidRoutePanics(t *testing.T) {
@@ -230,8 +235,8 @@ func TestCreditOverflowPanics(t *testing.T) {
 func TestVIXDatapathParallelism(t *testing.T) {
 	base := baseConfig()
 	r := testRouter(t, base)
-	deliver(r, 1, 0, 2, NewPacket(1, 0, 9, 1, 0))
-	deliver(r, 1, 3, 4, NewPacket(2, 0, 8, 1, 0))
+	deliver(r, 1, 0, 2, 1, 1)
+	deliver(r, 1, 3, 4, 2, 1)
 	ems, _, _ := r.Tick()
 	if len(ems) != 1 {
 		t.Fatalf("baseline moved %d flits from one port, want 1", len(ems))
@@ -241,8 +246,8 @@ func TestVIXDatapathParallelism(t *testing.T) {
 	vixCfg.VirtualInputs = 2
 	vixCfg.Policy = PolicyBalanced
 	r2 := testRouter(t, vixCfg)
-	deliver(r2, 1, 0, 2, NewPacket(1, 0, 9, 1, 0)) // sub-group 0
-	deliver(r2, 1, 3, 4, NewPacket(2, 0, 8, 1, 0)) // sub-group 1
+	deliver(r2, 1, 0, 2, 1, 1) // sub-group 0
+	deliver(r2, 1, 3, 4, 2, 1) // sub-group 1
 	ems2, _, _ := r2.Tick()
 	if len(ems2) != 2 {
 		t.Fatalf("VIX moved %d flits from one port, want 2", len(ems2))
@@ -253,8 +258,7 @@ func TestVIXDatapathParallelism(t *testing.T) {
 // the output VC for the whole packet.
 func TestBodyFlitsInheritOutputVC(t *testing.T) {
 	r := testRouter(t, baseConfig())
-	pkt := NewPacket(1, 0, 9, 5, 0)
-	deliver(r, 2, 1, 3, pkt)
+	deliver(r, 2, 1, 3, 1, 5)
 	seen := map[int]bool{}
 	for i := 0; i < 5; i++ {
 		ems, _, _ := r.Tick()
@@ -273,7 +277,7 @@ func TestOccupancyAndBufferSpace(t *testing.T) {
 	if r.Occupancy() != 0 {
 		t.Fatalf("fresh router occupancy %d", r.Occupancy())
 	}
-	deliver(r, 1, 2, 3, NewPacket(1, 0, 9, 2, 0))
+	deliver(r, 1, 2, 3, 1, 2)
 	if r.Occupancy() != 2 {
 		t.Fatalf("occupancy %d, want 2", r.Occupancy())
 	}
@@ -304,27 +308,42 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// A single-flit packet is one HeadTail; a longer one is Head, Body...,
+// Tail, and its flits keep their sequence number and packet size as
+// they cross a router.
 func TestNewPacketShapes(t *testing.T) {
-	single := NewPacket(5, 1, 2, 1, 10)
-	if len(single) != 1 || single[0].Type != HeadTail {
-		t.Fatalf("single-flit packet wrong: %+v", single)
+	shapes := []struct {
+		size int
+		want []FlitType
+	}{
+		{1, []FlitType{HeadTail}},
+		{2, []FlitType{Head, Tail}},
+		{4, []FlitType{Head, Body, Body, Tail}},
 	}
-	multi := NewPacket(6, 1, 2, 4, 10)
+	for _, sh := range shapes {
+		for seq, want := range sh.want {
+			if got := PacketFlitType(seq, sh.size); got != want {
+				t.Errorf("PacketFlitType(%d, %d) = %v, want %v", seq, sh.size, got, want)
+			}
+		}
+	}
+
+	r := testRouter(t, baseConfig())
+	deliver(r, 1, 0, 2, 6, 4)
 	wantTypes := []FlitType{Head, Body, Body, Tail}
-	for i, f := range multi {
+	for i := range wantTypes {
+		ems, _, _ := r.Tick()
+		if len(ems) != 1 {
+			t.Fatalf("cycle %d: %d emissions, want 1", i, len(ems))
+		}
+		f := r.flits.At(ems[0].Flit)
 		if f.Type != wantTypes[i] {
 			t.Errorf("flit %d type %v, want %v", i, f.Type, wantTypes[i])
 		}
-		if f.Seq != i || f.PacketSize != 4 || f.CreateCycle != 10 {
-			t.Errorf("flit %d metadata wrong: %+v", i, f)
+		if f.PacketID != 6 || f.Seq != i || f.PacketSize != 4 {
+			t.Errorf("flit %d metadata wrong: %+v", i, *f)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("zero-size packet did not panic")
-		}
-	}()
-	NewPacket(7, 1, 2, 0, 0)
 }
 
 func TestFlitTypePredicates(t *testing.T) {
@@ -354,7 +373,7 @@ func TestNonSpeculativeDelaysHeadOneCycle(t *testing.T) {
 	cfg := baseConfig()
 	cfg.NonSpeculative = true
 	r := testRouter(t, cfg)
-	deliver(r, 1, 0, 2, NewPacket(1, 0, 9, 1, 0))
+	deliver(r, 1, 0, 2, 1, 1)
 
 	ems, _, _ := r.Tick()
 	if len(ems) != 0 {
@@ -370,7 +389,7 @@ func TestNonSpeculativeDelaysHeadOneCycle(t *testing.T) {
 // same cycle — the Figure 6b pipeline.
 func TestSpeculativeHeadSameCycle(t *testing.T) {
 	r := testRouter(t, baseConfig())
-	deliver(r, 1, 0, 2, NewPacket(1, 0, 9, 1, 0))
+	deliver(r, 1, 0, 2, 1, 1)
 	if ems, _, _ := r.Tick(); len(ems) != 1 {
 		t.Fatalf("speculative head failed to traverse in VA cycle: %+v", ems)
 	}
@@ -382,7 +401,7 @@ func TestNonSpeculativeBodyFlitsUnaffected(t *testing.T) {
 	cfg := baseConfig()
 	cfg.NonSpeculative = true
 	r := testRouter(t, cfg)
-	deliver(r, 1, 0, 2, NewPacket(1, 0, 9, 4, 0))
+	deliver(r, 1, 0, 2, 1, 4)
 
 	var sent int
 	for cycle := 0; cycle < 6; cycle++ {
