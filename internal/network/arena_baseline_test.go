@@ -71,6 +71,17 @@ func arenaBaselineCases() []arenaBaselineCase {
 			},
 		},
 		{
+			// Flattened butterfly at 8 VCs under input-first VIX: radix 10
+			// x 8 VCs = 80 input VCs, so the router's per-ivc masks span
+			// two words. Recorded before the packed-mask router rewrite.
+			name: "fbfly4x4c4_if2_vc8", warmup: 400, cycles: 1200,
+			build: func() Config {
+				cfg := meshConfig(topology.NewFBfly(4, 4, 4), alloc.KindSeparableIF, 2, router.PolicyBalanced)
+				cfg.Router.VCs = 8
+				return cfg
+			},
+		},
+		{
 			// The scale target itself at light load: 1024 routers, kept
 			// short so the 4-mode matrix stays tractable under -race.
 			name: "mesh32x32_if2_low", warmup: 200, cycles: 600,
