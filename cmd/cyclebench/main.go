@@ -336,10 +336,11 @@ func benchLowLoad(injectRate float64, warmup, measure int, requireGate bool) *lo
 		SaturationPkt: mesh16Saturation,
 	}
 	// The 2% floor was 5x against the pre-arena dense loop; the arena
-	// pass made idle routers nearly free in the dense reference too (the
-	// vaPending early-exit skips VC allocation outright when nothing is
-	// pending), so the gated/dense ratio legitimately shrank while both
-	// absolute numbers improved. 3x still pins a real worklist benefit.
+	// pass made idle routers nearly free in the dense reference too (VC
+	// allocation and request build walk packed masks that are zero at an
+	// empty router), so the gated/dense ratio legitimately shrank while
+	// both absolute numbers improved. 3x still pins a real worklist
+	// benefit.
 	points := []lowLoadPoint{
 		{LoadPct: 2, MinSpeedup: 3},
 		{LoadPct: 10},

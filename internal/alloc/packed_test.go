@@ -109,13 +109,16 @@ func (d *denseSeparableIF) allocate(rs *RequestSet) []Grant {
 // streams — load swinging between saturation, trickle, and silence so
 // stale-scratch bugs would surface — and demands identical grant
 // sequences every cycle. The 16-port ideal-VIX geometry pushes Rows past
-// 64, covering the multi-word bitset paths.
+// 64 and the 70-VC one GroupSize past 64, covering the multi-word row
+// and slot masks. Every third cycle repeats a few VCs' requests toward
+// other outputs, pinning the first-request-per-slot rule.
 func TestSeparableIFMatchesDenseReference(t *testing.T) {
 	for _, cfg := range []Config{
 		{Ports: 5, VCs: 4, VirtualInputs: 1},
 		{Ports: 5, VCs: 6, VirtualInputs: 2},
 		{Ports: 8, VCs: 6, VirtualInputs: 6},
-		{Ports: 16, VCs: 8, VirtualInputs: 8}, // Rows = 128: two occupancy words
+		{Ports: 16, VCs: 8, VirtualInputs: 8}, // Rows = 128: two row-mask words
+		{Ports: 3, VCs: 70, VirtualInputs: 1}, // GroupSize = 70: two slot-mask words
 	} {
 		packed := NewSeparableIF(cfg)
 		dense := newDenseSeparableIF(cfg)
@@ -123,6 +126,13 @@ func TestSeparableIFMatchesDenseReference(t *testing.T) {
 		loads := []float64{0.9, 0.05, 0, 0.5, 0, 0.95, 0.1}
 		for cycle := 0; cycle < 400; cycle++ {
 			rs := randomRequestSet(rng, cfg, loads[cycle%len(loads)])
+			if n := len(rs.Requests); n > 0 && cycle%3 == 0 {
+				for i := 0; i < 3; i++ {
+					dup := rs.Requests[rng.Intn(n)]
+					dup.OutPort = rng.Intn(cfg.Ports)
+					rs.Requests = append(rs.Requests, dup)
+				}
+			}
 			gp, gd := packed.Allocate(rs), dense.allocate(rs)
 			if len(gp) != len(gd) {
 				t.Fatalf("cfg %+v cycle %d: packed granted %d, dense %d", cfg, cycle, len(gp), len(gd))

@@ -22,17 +22,23 @@ import (
 // that loses in phase two keeps priority the next cycle.
 type SeparableIF struct {
 	cfg        Config
-	inputArbs  []arb.Arbiter // one per crossbar row, over GroupSize slots
-	outputArbs []arb.Arbiter // one per output port, over Rows rows
+	inputArbs  []arb.RoundRobin // one per crossbar row, over GroupSize slots
+	outputArbs []arb.RoundRobin // one per output port, over Rows rows
 
-	// scratch buffers reused across cycles to avoid per-cycle allocation.
-	slotOf    []int32 // per vc: precomputed Config.Slot
-	slotReq   []bool
-	rowReq    []bool   // all-false between phase-two output arbitrations
-	candidate []int    // per row: winning request index; stale for rows absent from outMask
-	slotToReq []int    // per slot: offered request index, -1 if none
-	outMask   []bitset // per output port: rows whose phase-one candidate requests it
-	rowReqs   rowScratch
+	rowOf  []int32 // per port*VCs+vc: precomputed Config.Row
+	slotOf []int32 // per vc: precomputed Config.Slot
+	gs     int     // GroupSize: slots per row
+	sw, rw int     // words per slot mask (GroupSize bits) and row mask (Rows bits)
+
+	// Request lines as packed words, all-zero between calls: the request
+	// pass sets them, and phase one drains occ and slots, phase two
+	// outMask, as it consumes them.
+	occ     bitset   // rows holding requests
+	slots   []uint64 // per row, sw words: slots whose VC offers a request
+	outMask []uint64 // per output port, rw words: rows whose candidate requests it
+
+	reqOf     []int // per row*GroupSize+slot: first request offered there; stale where the slot bit is clear
+	candidate []int // per row: phase-one winner; stale for rows absent from outMask
 	grants    []Grant
 }
 
@@ -40,29 +46,24 @@ type SeparableIF struct {
 // It panics if cfg is invalid.
 func NewSeparableIF(cfg Config) *SeparableIF {
 	mustValidate(cfg)
-	s := &SeparableIF{
-		cfg:       cfg,
-		slotOf:    slotTable(cfg),
-		slotReq:   make([]bool, cfg.GroupSize()),
-		rowReq:    make([]bool, cfg.Rows()),
-		candidate: make([]int, cfg.Rows()),
-		slotToReq: make([]int, cfg.GroupSize()),
-		outMask:   make([]bitset, cfg.Ports),
-		rowReqs:   newRowScratch(cfg),
-		grants:    make([]Grant, 0, cfg.Ports),
+	gs, rows := cfg.GroupSize(), cfg.Rows()
+	sw, rw := (gs+63)/64, (rows+63)/64
+	return &SeparableIF{
+		cfg:        cfg,
+		inputArbs:  arb.NewRoundRobins(rows, gs),
+		outputArbs: arb.NewRoundRobins(cfg.Ports, rows),
+		rowOf:      rowTable(cfg),
+		slotOf:     slotTable(cfg),
+		gs:         gs,
+		sw:         sw,
+		rw:         rw,
+		occ:        newBitset(rows),
+		slots:      make([]uint64, rows*sw),
+		outMask:    make([]uint64, cfg.Ports*rw),
+		reqOf:      make([]int, rows*gs),
+		candidate:  make([]int, rows),
+		grants:     make([]Grant, 0, cfg.Ports),
 	}
-	for i := range s.outMask {
-		s.outMask[i] = newBitset(cfg.Rows())
-	}
-	s.inputArbs = make([]arb.Arbiter, cfg.Rows())
-	for i := range s.inputArbs {
-		s.inputArbs[i] = arb.NewRoundRobin(cfg.GroupSize())
-	}
-	s.outputArbs = make([]arb.Arbiter, cfg.Ports)
-	for i := range s.outputArbs {
-		s.outputArbs[i] = arb.NewRoundRobin(cfg.Rows())
-	}
-	return s
 }
 
 // Name implements Allocator. The name is the registry Kind ("if")
@@ -72,11 +73,11 @@ func (s *SeparableIF) Name() string { return "if" }
 
 // Reset implements Allocator.
 func (s *SeparableIF) Reset() {
-	for _, a := range s.inputArbs {
-		a.Reset()
+	for i := range s.inputArbs {
+		s.inputArbs[i].Reset()
 	}
-	for _, a := range s.outputArbs {
-		a.Reset()
+	for i := range s.outputArbs {
+		s.outputArbs[i].Reset()
 	}
 }
 
@@ -85,86 +86,70 @@ func (s *SeparableIF) Reset() {
 //
 //vixlint:hot
 func (s *SeparableIF) Allocate(rs *RequestSet) []Grant {
-	rows := s.rowReqs.group(rs)
+	// One pass sorts each request onto its row's slot line. A slot keeps
+	// the first request offered there: callers offer at most one request
+	// per VC, so a repeat is malformed input and loses.
+	vcs := s.cfg.VCs
+	for i := range rs.Requests {
+		r := &rs.Requests[i]
+		row := int(s.rowOf[r.Port*vcs+r.VC])
+		slot := int(s.slotOf[r.VC])
+		wi, bit := row*s.sw+slot>>6, uint64(1)<<(uint(slot)&63)
+		if s.slots[wi]&bit == 0 {
+			s.slots[wi] |= bit
+			s.reqOf[row*s.gs+slot] = i
+		}
+		s.occ.set(row)
+	}
 
-	// Phase one: each occupied crossbar row's input arbiter picks one VC.
-	// The occupancy walk visits rows in ascending order — exactly the
-	// rows the dense 0..Rows loop would have worked on — and sorts each
-	// candidate into its output's packed row mask as it is chosen.
-	// Candidate entries of skipped rows go stale, which is safe: phase
-	// two reads candidate[row] only for rows present in a mask.
-	for wi, w := range s.rowReqs.occupied() {
+	// Phase one: each occupied crossbar row's input arbiter picks one VC
+	// from the row's slot word(s). Rows are visited in ascending order —
+	// the rows a dense 0..Rows loop would have worked on — and each
+	// candidate is sorted into its output's row mask as it is chosen.
+	for wi, w := range s.occ {
 		for ; w != 0; w &= w - 1 {
 			row := wi<<6 + bits.TrailingZeros64(w)
-			for i := range s.slotReq {
-				s.slotReq[i] = false
+			var slot int
+			if s.sw == 1 {
+				slot = s.inputArbs[row].ArbitrateWord(s.slots[row])
+				s.slots[row] = 0
+			} else {
+				line := s.slots[row*s.sw : (row+1)*s.sw]
+				slot = s.inputArbs[row].ArbitrateWords(line)
+				clear(line)
 			}
-			// Map request indices onto arbiter slots.
-			slotToReq := s.fillSlots(rows[row], rs)
-			for slot, reqIdx := range slotToReq {
-				s.slotReq[slot] = reqIdx >= 0
-			}
-			if slot := s.inputArbs[row].Arbitrate(s.slotReq); slot >= 0 {
-				reqIdx := slotToReq[slot]
-				s.candidate[row] = reqIdx
-				s.outMask[rs.Requests[reqIdx].OutPort].set(row)
-			}
+			reqIdx := s.reqOf[row*s.gs+slot]
+			s.candidate[row] = reqIdx
+			out := rs.Requests[reqIdx].OutPort
+			s.outMask[out*s.rw+row>>6] |= 1 << (uint(row) & 63)
 		}
+		s.occ[wi] = 0
 	}
 
 	// Phase two: each output arbiter picks one row among the candidates
-	// requesting it. The packed mask replaces the old scan of every
-	// row's candidate per output — O(candidates) total instead of
-	// O(Ports x Rows) — and the expanded rowReq bits presented to the
-	// arbiter are identical to the dense scan's, so arbitration (and the
-	// grant sequence) is unchanged.
+	// requesting it, straight from the output's row mask.
 	s.grants = s.grants[:0]
 	for out := 0; out < s.cfg.Ports; out++ {
-		mask := s.outMask[out]
-		any := false
-		for wi, w := range mask {
-			for ; w != 0; w &= w - 1 {
-				s.rowReq[wi<<6+bits.TrailingZeros64(w)] = true
-				any = true
-			}
-		}
-		if !any {
-			continue
-		}
-		row := s.outputArbs[out].Arbitrate(s.rowReq)
-		req := rs.Requests[s.candidate[row]]
-		s.grants = append(s.grants, Grant{Req: s.candidate[row], OutPort: out, Row: row})
-		// iSLIP pointer update: both arbiters advance only on a grant.
-		s.outputArbs[out].Ack(row)
-		s.inputArbs[row].Ack(int(s.slotOf[req.VC]))
-		// Restore the all-false rowReq invariant and drain the mask for
-		// the next cycle.
-		for wi, w := range mask {
+		var row int
+		if s.rw == 1 {
+			w := s.outMask[out]
 			if w == 0 {
 				continue
 			}
-			for ; w != 0; w &= w - 1 {
-				s.rowReq[wi<<6+bits.TrailingZeros64(w)] = false
+			row = s.outputArbs[out].ArbitrateWord(w)
+			s.outMask[out] = 0
+		} else {
+			line := s.outMask[out*s.rw : (out+1)*s.rw]
+			if row = s.outputArbs[out].ArbitrateWords(line); row < 0 {
+				continue
 			}
-			mask[wi] = 0
+			clear(line)
 		}
+		reqIdx := s.candidate[row]
+		s.grants = append(s.grants, Grant{Req: reqIdx, OutPort: out, Row: row})
+		// iSLIP pointer update: both arbiters advance only on a grant.
+		s.outputArbs[out].Ack(row)
+		s.inputArbs[row].Ack(int(s.slotOf[rs.Requests[reqIdx].VC]))
 	}
 	return s.grants
-}
-
-// fillSlots maps each input-arbiter slot of a row to the index of the
-// request offered by the VC in that slot, or -1. At most one request per
-// VC is assumed (callers offer one request per head flit). The returned
-// slice is the allocator's scratch, valid until the next call.
-func (s *SeparableIF) fillSlots(reqIdxs []int, rs *RequestSet) []int {
-	for i := range s.slotToReq {
-		s.slotToReq[i] = -1
-	}
-	for _, idx := range reqIdxs {
-		slot := int(s.slotOf[rs.Requests[idx].VC])
-		if s.slotToReq[slot] < 0 {
-			s.slotToReq[slot] = idx
-		}
-	}
-	return s.slotToReq
 }

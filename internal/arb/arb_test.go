@@ -207,6 +207,7 @@ func TestSizeAccessor(t *testing.T) {
 func TestConstructorPanics(t *testing.T) {
 	for _, f := range []func(){ // each must panic
 		func() { NewRoundRobin(0) },
+		func() { NewRoundRobins(3, 0) },
 		func() { NewMatrix(-1) },
 	} {
 		func() {
@@ -230,5 +231,61 @@ func TestMismatchedRequestVectorPanics(t *testing.T) {
 			}()
 			a.Arbitrate(make([]bool, 3))
 		}()
+	}
+}
+
+// Property: the packed forms of round-robin arbitration are Arbitrate
+// over the same request lines. For every size straddling a word boundary,
+// every pointer position and seeded request sets from empty through
+// single-bit to full, ArbitrateWords (and, within one word,
+// ArbitrateWord) returns exactly Arbitrate's winner, -1 included.
+func TestWordArbitrationMatchesBoolVector(t *testing.T) {
+	rng := sim.NewRNG(11)
+	for _, n := range []int{1, 3, 63, 64, 65, 130} {
+		arbs := NewRoundRobins(2, n)
+		a := &arbs[1]
+		if a.Size() != n {
+			t.Fatalf("n=%d: NewRoundRobins built size %d", n, a.Size())
+		}
+		req := make([]bool, n)
+		words := make([]uint64, (n+63)/64)
+		for ptr := 0; ptr < n; ptr++ {
+			a.Reset()
+			if ptr > 0 {
+				a.Ack(ptr - 1)
+			}
+			for trial := 0; trial < 12; trial++ {
+				p := []float64{0, 0.02, 0.1, 0.5, 0.95, 1}[trial%6]
+				for i := range words {
+					words[i] = 0
+				}
+				for i := range req {
+					req[i] = rng.Bernoulli(p)
+					if req[i] {
+						words[i>>6] |= 1 << (uint(i) & 63)
+					}
+				}
+				if trial == 6 && n > 1 { // exactly one request, just below the pointer
+					for i := range words {
+						words[i] = 0
+					}
+					for i := range req {
+						req[i] = false
+					}
+					i := (ptr + n - 1) % n
+					req[i] = true
+					words[i>>6] = 1 << (uint(i) & 63)
+				}
+				want := a.Arbitrate(req)
+				if got := a.ArbitrateWords(words); got != want {
+					t.Fatalf("n=%d ptr=%d trial %d: ArbitrateWords = %d, Arbitrate = %d", n, ptr, trial, got, want)
+				}
+				if n <= 64 {
+					if got := a.ArbitrateWord(words[0]); got != want {
+						t.Fatalf("n=%d ptr=%d trial %d: ArbitrateWord = %d, Arbitrate = %d", n, ptr, trial, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -297,6 +297,11 @@ type Network struct {
 
 	inFlight int64 // flits inside routers or on links (not source queues)
 
+	// injGroup[vc] is the crossbar sub-group of local-port VC vc, built
+	// once so head injection compares table entries rather than
+	// recomputing alloc.Config.Subgroup (two divisions) per VC per try.
+	injGroup []int32
+
 	lastEjectCycle int64 // watchdog: last cycle any flit ejected
 
 	// Activity-gate state: packed activity words for routers (buffered
@@ -346,6 +351,11 @@ func New(cfg Config) (*Network, error) {
 	n.credQ = make([][]creditDelivery, n.qlen)
 	n.ejectQ = make([][]router.FlitID, n.qlen)
 
+	acfg := cfg.Router.Alloc()
+	n.injGroup = make([]int32, cfg.Router.VCs)
+	for vc := range n.injGroup {
+		n.injGroup[vc] = int32(acfg.Subgroup(vc))
+	}
 	n.flits = router.NewFlitArena(cfg.FlitArenaCapacity, false)
 	arena := router.NewArena(topo.NumRouters, cfg.Router, n.flits)
 	root := sim.NewRNG(cfg.Seed)
@@ -721,15 +731,14 @@ func (n *Network) inject(nif *ni) {
 // VIX virtual inputs at the injection router see diverse requests), then
 // the VC with the most space. Returns -1 if nothing has space.
 func (n *Network) chooseInjectionVC(rt *router.Router, r, port, route int) int {
-	acfg := n.cfg.Router.Alloc()
-	dim := n.topo.Conn[r][route].Dim
-	prefGroup := 0
-	if acfg.VirtualInputs > 1 && dim != topology.DimX {
-		prefGroup = acfg.VirtualInputs - 1
+	k := n.cfg.Router.VirtualInputs
+	prefGroup := int32(0)
+	if k > 1 && n.topo.Conn[r][route].Dim != topology.DimX {
+		prefGroup = int32(k - 1)
 	}
 	best, bestSpace := -1, 0
 	bestPref := false
-	for vc := 0; vc < n.cfg.Router.VCs; vc++ {
+	for vc, group := range n.injGroup {
 		// Any VC with space is eligible: the NI streams packets strictly
 		// sequentially, so a new packet queued behind the previous tail
 		// in the same VC preserves wormhole FIFO order.
@@ -737,7 +746,7 @@ func (n *Network) chooseInjectionVC(rt *router.Router, r, port, route int) int {
 		if space == 0 {
 			continue
 		}
-		pref := acfg.Subgroup(vc) == prefGroup
+		pref := group == prefGroup
 		if best < 0 || (pref && !bestPref) || (pref == bestPref && space > bestSpace) {
 			best, bestSpace, bestPref = vc, space, pref
 		}

@@ -586,3 +586,52 @@ func TestRunToSteadyStateBudget(t *testing.T) {
 		t.Fatal("defaulted window ran zero cycles")
 	}
 }
+
+// TestRouterMasksTrackStateEveryCycle recounts every router's packed
+// masks against its per-VC state after every cycle (Router.Occupancy
+// panics on a mismatch), so a missed occMask or ovcMask update fails at
+// the cycle it happens rather than as a later divergence. The cases
+// cover the saturated 8x8 VIX mesh, a saturated torus under
+// NonSpeculative (the justMask path and dateline VC ranges), and an
+// 80-input-VC flattened butterfly whose masks span two words.
+func TestRouterMasksTrackStateEveryCycle(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func() Config
+	}{
+		{"mesh8x8_if2_sat", func() Config {
+			return meshConfig(topology.NewMesh(8, 8), alloc.KindSeparableIF, 2, router.PolicyBalanced)
+		}},
+		{"torus5x5_if2_nonspec_sat", func() Config {
+			cfg := meshConfig(topology.NewTorus(5, 5), alloc.KindSeparableIF, 2, router.PolicyBalanced)
+			cfg.Router.NonSpeculative = true
+			return cfg
+		}},
+		{"fbfly4x4c4_if2_vc8_sat", func() Config {
+			cfg := meshConfig(topology.NewFBfly(4, 4, 4), alloc.KindSeparableIF, 2, router.PolicyBalanced)
+			cfg.Router.VCs = 8
+			return cfg
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.build()
+			cfg.MaxInjection = true
+			cfg.InjectionRate = 0
+			n, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			buffered := 0
+			for cycle := 0; cycle < 1500; cycle++ {
+				n.Step()
+				for _, rt := range n.Routers() {
+					buffered += rt.Occupancy()
+				}
+			}
+			if buffered == 0 {
+				t.Fatal("no flit was ever buffered; workload broken")
+			}
+		})
+	}
+}
