@@ -238,9 +238,8 @@ func (b bitset) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 // rowScratch groups request indices by crossbar row without per-cycle
 // allocation: the per-row lists are truncated and refilled on every
 // group call, so their backing arrays reach steady state and stay there.
-// An occupancy bitset tracks which rows the last fill touched; group
-// truncates only those, and callers can walk occupied() instead of
-// scanning all Rows entries.
+// An occupancy bitset tracks which rows the last fill touched, so group
+// truncates only those instead of every Rows entry.
 type rowScratch struct {
 	rows [][]int
 	occ  bitset // rows holding requests from the last group call
@@ -284,7 +283,7 @@ func slotTable(cfg Config) []int32 {
 
 // group refills the per-row request-index lists from rs and returns
 // them; the result has Config.Rows() entries and is valid until the
-// next group call. Rows absent from occupied() are guaranteed empty.
+// next group call.
 func (s *rowScratch) group(rs *RequestSet) [][]int {
 	for wi, w := range s.occ {
 		if w == 0 {
@@ -303,10 +302,6 @@ func (s *rowScratch) group(rs *RequestSet) [][]int {
 	}
 	return s.rows
 }
-
-// occupied returns the occupancy words of the last group call: bit i is
-// set exactly when rows[i] is non-empty. Valid until the next group call.
-func (s *rowScratch) occupied() bitset { return s.occ }
 
 // cellScratch groups request indices by (crossbar row, output port) cell
 // of the request matrix, replacing the per-cycle maps the matrix-style
