@@ -56,7 +56,7 @@ var ShardOwnershipRoots = map[string][]OwnershipRoot{
 		{Root: "(*Network).routers", Why: "routers are partitioned by worklist entries naming distinct routers; Tick and SkipIdle touch only router-local state"},
 		{Root: "(*Network).act", Why: "gated worklist scratch: runActive(i) writes only the per-index slots act.ems/creds/delta/quiesced[i], its own index"},
 		{Root: "(*Network).lastTick", Why: "runActive(i) writes only lastTick[act.work[i]], and worklist entries are distinct router indices handed out once each by Pool.Do"},
-		{Root: "(*Network).flits", Why: "phase-A lookahead writes flits.At(e.Flit).Route for the shard's own emissions; an emitted flit left exactly one router this cycle, so no two shards resolve the same FlitID, and Alloc/Free (the only slab-moving ops) run solely on the stepping goroutine"},
+		{Root: "(*Network).flits", Why: "phase-A Router.Tick writes VC and Hops of the flits its own router emits; an emitted flit left exactly one router this cycle, so no two shards resolve the same FlitID, and Alloc/Free (the only slab-moving ops) and the routing of emissions run solely on the stepping goroutine"},
 	},
 	"internal/harness": {
 		{Root: "captured results", Why: "results[i] is the per-job slot; Pool.Do hands out each index exactly once"},

@@ -230,6 +230,7 @@ type ni struct {
 	seq   int // flits of the front packet already injected
 	flits int // queued flits not yet injected
 	curVC int
+	route int // route of the streaming packet at the node's router
 }
 
 // pending returns the number of queued flits.
@@ -302,6 +303,13 @@ type Network struct {
 	// recomputing alloc.Config.Subgroup (two divisions) per VC per try.
 	injGroup []int32
 
+	// vcRoute[(router*Radix+port)*VCs+vc] is the route, at router, of
+	// the packet holding input VC (port, vc) there. An upstream router
+	// holds the downstream VC from head to tail, so the head's route,
+	// stored when the head is forwarded, serves the body flits behind it:
+	// DOR runs once per packet-hop.
+	vcRoute []int32
+
 	lastEjectCycle int64 // watchdog: last cycle any flit ejected
 
 	// Activity-gate state: packed activity words for routers (buffered
@@ -356,6 +364,7 @@ func New(cfg Config) (*Network, error) {
 	for vc := range n.injGroup {
 		n.injGroup[vc] = int32(acfg.Subgroup(vc))
 	}
+	n.vcRoute = make([]int32, topo.NumRouters*topo.Radix*cfg.Router.VCs)
 	n.flits = router.NewFlitArena(cfg.FlitArenaCapacity, false)
 	arena := router.NewArena(topo.NumRouters, cfg.Router, n.flits)
 	root := sim.NewRNG(cfg.Seed)
@@ -566,17 +575,31 @@ func (n *Network) tickActiveSerial() {
 	}
 }
 
-// forward routes an emission from router r onto its link or to ejection.
+// forward routes an emission from router r onto its link or to ejection,
+// counting its datapath activity.
 func (n *Network) forward(r int, e router.Emission) {
 	n.col.BufferRead()
 	n.col.XbarTraversal()
-	conn := n.topo.Conn[r][e.OutPort]
+	if n.topo.Conn[r][e.OutPort].Kind == topology.Link {
+		n.col.LinkTraversal()
+	}
+	n.deliverEmission(r, e)
+}
+
+// deliverEmission schedules an emission from router r: a flit leaving
+// on a link gets its route at the downstream router and arrives after
+// the hop delay; a flit leaving through a local port ejects then.
+func (n *Network) deliverEmission(r int, e router.Emission) {
+	conn := &n.topo.Conn[r][e.OutPort]
 	arrive := int((n.cycle + int64(n.cfg.HopDelay)) % int64(n.qlen))
 	switch conn.Kind {
 	case topology.Link:
-		n.col.LinkTraversal()
 		f := n.flits.At(e.Flit)
-		f.Route = n.route(n.topo, conn.PeerRouter, f.Dst)
+		slot := (conn.PeerRouter*n.topo.Radix+conn.PeerPort)*n.cfg.Router.VCs + f.VC
+		if f.Type.IsHead() {
+			n.vcRoute[slot] = int32(n.route(n.topo, conn.PeerRouter, f.Dst))
+		}
+		f.Route = int(n.vcRoute[slot])
 		n.flitQ[arrive] = append(n.flitQ[arrive], flitDelivery{
 			router: conn.PeerRouter, port: conn.PeerPort, vc: f.VC, flit: e.Flit,
 		})
@@ -680,17 +703,17 @@ func (n *Network) inject(nif *ni) {
 	port := n.topo.NodePort[nif.node]
 	rt := n.routers[r]
 	ft := router.PacketFlitType(nif.seq, p.size)
-	route := n.route(n.topo, r, p.dst)
 
 	if ft.IsHead() {
 		if nif.curVC >= 0 {
 			panic("network: head flit while previous packet still streaming")
 		}
+		route := n.route(n.topo, r, p.dst)
 		vc := n.chooseInjectionVC(rt, r, port, route)
 		if vc < 0 {
 			return // no space at the local port this cycle
 		}
-		nif.curVC = vc
+		nif.curVC, nif.route = vc, route
 	}
 	if rt.BufferSpace(port, nif.curVC) == 0 {
 		return
@@ -707,7 +730,7 @@ func (n *Network) inject(nif *ni) {
 	f.Seq = nif.seq
 	f.PacketSize = p.size
 	f.CreateCycle = p.createCycle
-	f.Route = route
+	f.Route = nif.route
 	f.VC = -1
 	rt.DeliverFlit(port, nif.curVC, fid)
 	n.col.BufferWrite()

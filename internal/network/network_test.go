@@ -588,12 +588,14 @@ func TestRunToSteadyStateBudget(t *testing.T) {
 }
 
 // TestRouterMasksTrackStateEveryCycle recounts every router's packed
-// masks against its per-VC state after every cycle (Router.Occupancy
-// panics on a mismatch), so a missed occMask or ovcMask update fails at
-// the cycle it happens rather than as a later divergence. The cases
-// cover the saturated 8x8 VIX mesh, a saturated torus under
-// NonSpeculative (the justMask path and dateline VC ranges), and an
-// 80-input-VC flattened butterfly whose masks span two words.
+// state against its per-VC state after every cycle (Router.Occupancy
+// panics on a mismatch): the occupancy, output-VC and credit-ready bits
+// of every input VC, and the busy bit and holder of every output VC. A
+// missed update fails at the cycle it happens rather than as a later
+// divergence. The cases cover the saturated 8x8 VIX mesh, a saturated
+// torus under NonSpeculative (the justMask path and dateline VC ranges),
+// an 80-input-VC flattened butterfly whose masks span two words, and a
+// 70-VC torus whose per-output VC sets span two words.
 func TestRouterMasksTrackStateEveryCycle(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -610,6 +612,11 @@ func TestRouterMasksTrackStateEveryCycle(t *testing.T) {
 		{"fbfly4x4c4_if2_vc8_sat", func() Config {
 			cfg := meshConfig(topology.NewFBfly(4, 4, 4), alloc.KindSeparableIF, 2, router.PolicyBalanced)
 			cfg.Router.VCs = 8
+			return cfg
+		}},
+		{"torus4x4_if2_vc70_sat", func() Config {
+			cfg := meshConfig(topology.NewTorus(4, 4), alloc.KindSeparableIF, 2, router.PolicyBalanced)
+			cfg.Router.VCs = 70
 			return cfg
 		}},
 	} {
@@ -633,5 +640,65 @@ func TestRouterMasksTrackStateEveryCycle(t *testing.T) {
 				t.Fatal("no flit was ever buffered; workload broken")
 			}
 		})
+	}
+}
+
+// TestFlitRoutesMatchDOR pins route reuse: DOR runs only for head flits,
+// and body flits take the route stored for the input VC their packet
+// holds downstream (or, at injection, the route the NI stored for its
+// packet). After every cycle, every flit on a link must carry DOR's
+// route at the router it is headed for, and every NI streaming a packet
+// must hold DOR's route at its own router. The topologies cover
+// mesh, concentrated mesh, torus (wrap links) and flattened butterfly,
+// each on the serial walk and the sharded tick.
+func TestFlitRoutesMatchDOR(t *testing.T) {
+	for _, topo := range []*topology.Topology{
+		topology.NewMesh(6, 6), topology.NewCMesh(4, 4, 4), topology.NewTorus(5, 5), topology.NewFBfly(4, 4, 4),
+	} {
+		for _, workers := range []int{1, 4} {
+			cfg := meshConfig(topo, alloc.KindSeparableIF, 2, router.PolicyBalanced)
+			cfg.MaxInjection = true
+			cfg.InjectionRate = 0
+			cfg.Workers = workers
+			n, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dor := routing.DOR(topo)
+			var heads, bodies, streaming int
+			for cycle := 0; cycle < 600; cycle++ {
+				n.Step()
+				for _, q := range n.flitQ {
+					for _, d := range q {
+						f := n.flits.At(d.flit)
+						if want := dor(topo, d.router, f.Dst); f.Route != want {
+							t.Fatalf("%s workers=%d cycle %d: %v flit of packet %d headed for router %d has route %d, DOR says %d",
+								topo.Name, workers, cycle, f.Type, f.PacketID, d.router, f.Route, want)
+						}
+						if f.Type.IsHead() {
+							heads++
+						} else {
+							bodies++
+						}
+					}
+				}
+				for _, nif := range n.nis {
+					if nif.curVC < 0 {
+						continue
+					}
+					streaming++
+					r := topo.NodeRouter[nif.node]
+					if want := dor(topo, r, nif.front().dst); nif.route != want {
+						t.Fatalf("%s workers=%d cycle %d: NI %d streams a packet with route %d, DOR says %d",
+							topo.Name, workers, cycle, nif.node, nif.route, want)
+					}
+				}
+			}
+			n.Close()
+			if heads == 0 || bodies == 0 || streaming == 0 {
+				t.Fatalf("%s workers=%d: checked %d head and %d body flits, %d streaming NIs; workload broken",
+					topo.Name, workers, heads, bodies, streaming)
+			}
+		}
 	}
 }

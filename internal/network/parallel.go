@@ -1,7 +1,6 @@
 package network
 
 import (
-	"fmt"
 	"math/bits"
 	"runtime"
 
@@ -23,9 +22,8 @@ import (
 //     B and only read at the top of the next Step. Phase A therefore
 //     computes, for every router, the identical emissions and credits the
 //     serial walk would have, no matter how segments are scheduled. Each
-//     segment also pre-computes the lookahead routes of its link
-//     emissions (a pure topology function) and accumulates the datapath
-//     activity counters into a private stats.Delta.
+//     segment also accumulates the datapath activity counters into a
+//     private stats.Delta.
 //
 //   - Phase B (stepping goroutine): segments are merged in worklist —
 //     hence router-index — order: every queue append, credit schedule,
@@ -107,9 +105,8 @@ func (n *Network) initParallel() {
 // runActive is phase A of the parallel tick for one worklist
 // segment: fast-forward each of the segment's routers across its idle
 // span, tick it, keep the emission and credit slice headers and the
-// quiescence verdict in the worklist index's own slots, pre-compute
-// lookahead routes for link emissions, and accumulate the activity
-// counters the serial walk's forward() would have recorded.
+// quiescence verdict in the worklist index's own slots, and accumulate
+// the activity counters the serial walk's forward() would have recorded.
 //
 //vixlint:hot
 func (n *Network) runActive(si int) {
@@ -126,11 +123,8 @@ func (n *Network) runActive(si int) {
 		for _, e := range ems {
 			d.BufferReads++
 			d.XbarTraversals++
-			conn := &n.topo.Conn[r][e.OutPort]
-			if conn.Kind == topology.Link {
+			if n.topo.Conn[r][e.OutPort].Kind == topology.Link {
 				d.LinkTraversals++
-				f := n.flits.At(e.Flit)
-				f.Route = n.route(n.topo, conn.PeerRouter, f.Dst)
 			}
 		}
 	}
@@ -178,24 +172,6 @@ func (n *Network) tickActiveParallel() {
 				n.actR.Clear(r)
 			}
 		}
-	}
-}
-
-// deliverEmission is the phase-B half of forward: the emission's route
-// and activity counters were already handled in phase A, so only
-// the order-sensitive queue append remains.
-func (n *Network) deliverEmission(r int, e router.Emission) {
-	conn := n.topo.Conn[r][e.OutPort]
-	arrive := int((n.cycle + int64(n.cfg.HopDelay)) % int64(n.qlen))
-	switch conn.Kind {
-	case topology.Link:
-		n.flitQ[arrive] = append(n.flitQ[arrive], flitDelivery{
-			router: conn.PeerRouter, port: conn.PeerPort, vc: n.flits.At(e.Flit).VC, flit: e.Flit,
-		})
-	case topology.Local:
-		n.ejectQ[arrive] = append(n.ejectQ[arrive], e.Flit)
-	default:
-		panic(fmt.Sprintf("network: emission through unused port %d of router %d", e.OutPort, r))
 	}
 }
 
