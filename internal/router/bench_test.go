@@ -107,30 +107,76 @@ func (f *backlogFixture) step() {
 	f.cycle++
 }
 
-// BenchmarkRouterTick times one backlogged router cycle: the fixture's
-// credit landing and buffer top-up plus Router.Tick (VC allocation,
-// request build, switch allocation, traversal). A warmed router must
-// report 0 allocs/op.
-func BenchmarkRouterTick(b *testing.B) {
-	f := newBacklogFixture(b)
+// warmBacklogFixture returns a fixture stepped into its steady state.
+func warmBacklogFixture(tb testing.TB) *backlogFixture {
+	f := newBacklogFixture(tb)
 	for i := 0; i < 1000; i++ {
 		f.step()
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.step()
+	return f
+}
+
+// Phase probes for the layer microbenchmarks. Each runs one tick phase
+// on a warmed backlogged router frozen between cycles, so repeated runs
+// see the same steady state:
+//
+//   - va: allocateVCs. The first run may grant a VC that freed since the
+//     last tick; from then on every waiting head finds all of its
+//     downstream VCs busy, the outcome of most VA attempts at saturation.
+//   - requests: buildRequests over the router's buffered input VCs. It
+//     only rebuilds the request set and ages the waits of the VCs it
+//     lists.
+var routerPhases = []struct {
+	name string
+	run  func(*router.Router)
+}{
+	{"va", func(rt *router.Router) { rt.AllocateVCs() }},
+	{"requests", func(rt *router.Router) { rt.BuildRequests() }},
+}
+
+// BenchmarkRouterTick times one backlogged router cycle ("cycle": the
+// fixture's credit landing and buffer top-up plus Router.Tick — VC
+// allocation, request build, switch allocation, traversal) and, on a
+// frozen backlogged router, the VC allocation ("va") and request build
+// ("requests") phases alone. A warmed router must report 0 allocs/op.
+func BenchmarkRouterTick(b *testing.B) {
+	b.Run("cycle", func(b *testing.B) {
+		f := warmBacklogFixture(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f.step()
+		}
+	})
+	for _, ph := range routerPhases {
+		b.Run(ph.name, func(b *testing.B) {
+			f := warmBacklogFixture(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ph.run(f.rt)
+			}
+		})
 	}
 }
 
 // TestRouterTickZeroAllocs is BenchmarkRouterTick's allocation gate under
 // plain go test: once warm, a backlogged router cycle allocates nothing.
 func TestRouterTickZeroAllocs(t *testing.T) {
-	f := newBacklogFixture(t)
-	for i := 0; i < 1000; i++ {
-		f.step()
-	}
+	f := warmBacklogFixture(t)
 	if avg := testing.AllocsPerRun(500, f.step); avg != 0 {
 		t.Errorf("backlogged router cycle allocates %v times; want 0", avg)
+	}
+}
+
+// TestRouterPhasesZeroAllocs is the allocation gate of the per-phase
+// sub-benchmarks: neither VC allocation nor request build allocates on a
+// warmed backlogged router.
+func TestRouterPhasesZeroAllocs(t *testing.T) {
+	for _, ph := range routerPhases {
+		f := warmBacklogFixture(t)
+		if avg := testing.AllocsPerRun(500, func() { ph.run(f.rt) }); avg != 0 {
+			t.Errorf("%s phase allocates %v times per run; want 0", ph.name, avg)
+		}
 	}
 }
