@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint lint-escapes lint-state lint-bench race test bench bench-json profile sweep experiments examples clean
+.PHONY: all build vet lint lint-escapes lint-state lint-bench race test bench bench-check bench-json profile sweep experiments examples clean
 
 all: build vet lint test
 
@@ -109,6 +109,12 @@ sweep:
 	go run -race ./cmd/sweep -schemes if:1,if:2 -rates 0.02,0.05 \
 		-parallel 4 -v -o /tmp/vix_sweep.csv
 	@echo "wrote /tmp/vix_sweep.csv"
+
+# Vet and test the repository benchmark. _bench is its own Go module, so
+# `go build ./...` and `go test ./...` never compile it, and an API
+# change could break the benchmark unseen.
+bench-check:
+	cd _bench && go vet . && go test -count=1 .
 
 # Benchmark the harness itself: serial vs parallel wall time over the
 # Figure 8 grid, recorded to BENCH_harness.json for the perf trajectory.
